@@ -51,10 +51,10 @@ func distributedSweepArgs(extra ...string) []string {
 
 // TestSweepDistributedMatchesInProcess is the CLI acceptance criterion
 // for the fabric: -workers-exec self must emit byte-identical JSON to
-// the in-process executor for 1, 2 and 4 subprocess workers, in both
-// worker drive modes (GOMAXPROCS=1 flips the workers' radio engines to
-// the pump scheduler; the coordinator process is unaffected because the
-// Go runtime reads the variable at startup).
+// the in-process executor for 1, 2 and 4 subprocess workers, with the
+// workers at the host's GOMAXPROCS and at GOMAXPROCS=1, which changes how
+// each worker's fleet pool interleaves runs (the coordinator process is
+// unaffected because the Go runtime reads the variable at startup).
 func TestSweepDistributedMatchesInProcess(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.json")
@@ -69,7 +69,7 @@ func TestSweepDistributedMatchesInProcess(t *testing.T) {
 		for _, workers := range []string{"1", "2", "4"} {
 			name := "workers=" + workers
 			if gomaxprocs != "" {
-				name += ",pump"
+				name += ",gomaxprocs=" + gomaxprocs
 			}
 			t.Run(name, func(t *testing.T) {
 				if gomaxprocs != "" {

@@ -190,7 +190,7 @@ func runServe(ctx context.Context, args []string, out io.Writer) error {
 	// discover the port without parsing logs.
 	fmt.Fprintf(os.Stderr, "fleetsim: serving on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -214,6 +214,21 @@ func runServe(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(os.Stderr, "fleetsim: drained cleanly")
 	return nil
+}
+
+// Connection bounds for fleetsim serve: a client gets readHeaderTimeout
+// to send its request headers and an idle keep-alive connection is closed
+// after idleTimeout. There is deliberately no WriteTimeout, because an
+// SSE event stream lives as long as its job.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server that bounds
+// slow and idle clients.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // checkPositiveDuration rejects an explicitly-set non-positive duration

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -318,5 +319,39 @@ func TestDurationFlagValidation(t *testing.T) {
 		filepath.Join(t.TempDir(), "ok.json"),
 	}, new(bytes.Buffer)); err != nil {
 		t.Fatalf("default timeouts rejected: %v", err)
+	}
+}
+
+// TestServeClosesStalledHeaderRead pins the slow-client bound: a client
+// that opens a connection and never finishes its request headers is
+// disconnected once readHeaderTimeout passes, instead of holding the
+// connection forever.
+func TestServeClosesStalledHeaderRead(t *testing.T) {
+	defer func(prev time.Duration) { readHeaderTimeout = prev }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v; event streams must not be cut off", hs.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /jobs HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	_, err = io.ReadAll(conn) // returns once the server closes the connection
+	if elapsed := time.Since(start); err != nil || elapsed > 4*time.Second {
+		t.Fatalf("stalled header read not closed: after %v, err %v", elapsed, err)
 	}
 }

@@ -259,7 +259,7 @@ func (co *Coordinator) AttachStream(name string, r io.Reader, w io.Writer, close
 		co.conns = append(co.conns, closer)
 		co.mu.Unlock()
 	}
-	co.startSession(name, &remoteTransport{name: name, c: newLineCodec(r, w)})
+	co.startSession(name, &remoteTransport{name: name, c: newLineCodec(name, r, w)})
 }
 
 // AttachExec starts n subprocess workers running argv (typically
@@ -287,7 +287,7 @@ func (co *Coordinator) AttachExec(argv []string, n int) error {
 		co.mu.Lock()
 		co.procs = append(co.procs, &workerProc{cmd: cmd, stdin: stdin})
 		co.mu.Unlock()
-		co.startSession(name, &remoteTransport{name: name, c: newLineCodec(stdout, stdin)})
+		co.startSession(name, &remoteTransport{name: name, c: newLineCodec(name, stdout, stdin)})
 	}
 	return nil
 }
@@ -321,7 +321,7 @@ func (co *Coordinator) ListenTCP(addr string) (net.Addr, error) {
 			co.conns = append(co.conns, conn)
 			co.mu.Unlock()
 			name := fmt.Sprintf("tcp-%s", conn.RemoteAddr())
-			co.startSession(name, &remoteTransport{name: name, c: newLineCodec(conn, conn)})
+			co.startSession(name, &remoteTransport{name: name, c: newLineCodec(name, conn, conn)})
 		}
 	}()
 	return ln.Addr(), nil

@@ -1,13 +1,13 @@
 package fabric
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 
 	"securadio/internal/fleet"
+	"securadio/internal/frame"
 )
 
 // The wire protocol: line-delimited JSON messages over any byte stream
@@ -18,7 +18,9 @@ import (
 // signal. Messages are decoded with the same strictness as scenario
 // files and sweep reports — unknown fields and trailing data within a
 // line are rejected — so a version-skewed or corrupted peer fails
-// loudly instead of silently mis-executing cells.
+// loudly instead of silently mis-executing cells. Lines are capped at
+// frame.MaxLine bytes, so a peer that never sends a newline cannot grow
+// the reader without bound.
 const protocolVersion = 1
 
 // Message types.
@@ -59,12 +61,14 @@ func decodeStrict(data []byte, v any) error {
 // lineCodec frames messages as one JSON object per newline-terminated
 // line. It is not concurrency-safe; each worker session owns exactly one.
 type lineCodec struct {
-	r *bufio.Reader
+	r *frame.Reader
 	w io.Writer
 }
 
-func newLineCodec(r io.Reader, w io.Writer) *lineCodec {
-	return &lineCodec{r: bufio.NewReader(r), w: w}
+// newLineCodec frames messages over r and w; peer names the other end
+// in read errors.
+func newLineCodec(peer string, r io.Reader, w io.Writer) *lineCodec {
+	return &lineCodec{r: frame.NewReader(r, frame.MaxLine, peer), w: w}
 }
 
 // send writes one message as a single line. The line is assembled first
@@ -81,9 +85,9 @@ func (c *lineCodec) send(m message) error {
 
 // recv reads the next message. A clean EOF at a line boundary is
 // returned as io.EOF (the peer shut down); bytes without a terminating
-// newline are a protocol error.
+// newline are a protocol error, as is a line over frame.MaxLine bytes.
 func (c *lineCodec) recv() (message, error) {
-	line, err := c.r.ReadBytes('\n')
+	line, err := c.r.ReadLine()
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
 			return message{}, io.EOF

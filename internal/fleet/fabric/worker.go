@@ -20,7 +20,7 @@ import (
 // ServeWorker returns nil when the coordinator closes its end (EOF at a
 // line boundary) and ctx's error when cancelled mid-cell.
 func ServeWorker(ctx context.Context, r io.Reader, w io.Writer) error {
-	c := newLineCodec(r, w)
+	c := newLineCodec("coordinator", r, w)
 	if err := c.send(message{V: protocolVersion, Type: msgHello}); err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
 package radio
 
-// Abort, cancellation and panic coverage for the barrier scheduler in
-// both drive modes. Run under -race in CI: the teardown paths are where
-// barrier bookkeeping is most likely to race.
+// Abort, cancellation and panic coverage for the engine's coroutine
+// pump. Run under -race in CI: the teardown paths are where a suspended
+// node or a dirty pooled engine would show.
 
 import (
 	"errors"
@@ -15,18 +15,6 @@ import (
 	"testing"
 	"time"
 )
-
-// forEachMode runs the test body once per drive mode.
-func forEachMode(t *testing.T, body func(t *testing.T)) {
-	t.Helper()
-	for name, mode := range map[string]int32{"barrier": modeBarrier, "pump": modePump} {
-		t.Run(name, func(t *testing.T) {
-			restore := ForceSchedulerMode(mode)
-			defer restore()
-			body(t)
-		})
-	}
-}
 
 // waitForGoroutines polls until the goroutine count drops back to at most
 // base (teardown is asynchronous only in that exiting goroutines may not
@@ -48,9 +36,9 @@ func waitForGoroutines(t *testing.T, base int) {
 
 // TestAbortUnderLoad trips every abort path with enough nodes to make
 // teardown racy if it can be: round budget, checkpoint tag mismatch,
-// checkpoint mixing and invalid channels, in both drive modes.
+// checkpoint mixing and invalid channels.
 func TestAbortUnderLoad(t *testing.T) {
-	forEachMode(t, func(t *testing.T) {
+	t.Run("pump", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 
 		t.Run("max-rounds", func(t *testing.T) {
@@ -136,7 +124,7 @@ func (a *panicPlanAdversary) Observe(RoundObservation) {}
 // trace) panics surface on Run's caller — where campaign runners isolate
 // them — and the engine still tears down without leaking goroutines.
 func TestAdversaryPanicReachesCaller(t *testing.T) {
-	forEachMode(t, func(t *testing.T) {
+	t.Run("pump", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		const n = 40
 		procs := make([]Process, n)
@@ -164,7 +152,7 @@ func TestAdversaryPanicReachesCaller(t *testing.T) {
 // seed must produce the same result. Combined with -race this is the
 // pool-reuse data-race check.
 func TestConcurrentRunsShareNothing(t *testing.T) {
-	forEachMode(t, func(t *testing.T) {
+	t.Run("pump", func(t *testing.T) {
 		const workers, iters = 8, 12
 		want, err := concurrencyProbeRun(0)
 		if err != nil {
@@ -232,15 +220,12 @@ func concurrencyProbeRun(seed int64) (Result, error) {
 	return Run(Config{N: n, C: 3, T: 1, Seed: seed}, procs)
 }
 
-// TestNodePanicCrashesProcess pins the node-Process panic contract in
-// both drive modes: the panic must bring the whole process down, exactly
-// as it did when every node ran on its own goroutine in the seed engine.
-// The crash is observed from a child process running this test's helper
-// branch.
+// TestNodePanicCrashesProcess pins the node-Process panic contract: the
+// panic must bring the whole process down, exactly as it did when every
+// node ran on its own goroutine in the seed engine. The crash is observed
+// from a child process running this test's helper branch.
 func TestNodePanicCrashesProcess(t *testing.T) {
-	if mode := os.Getenv("RADIO_NODE_PANIC_HELPER"); mode != "" {
-		restore := ForceSchedulerMode(SchedulerModes[mode])
-		defer restore()
+	if os.Getenv("RADIO_NODE_PANIC_HELPER") != "" {
 		procs := []Process{
 			func(e Env) { e.SleepFor(2); panic("node exploded") },
 			func(e Env) {
@@ -252,17 +237,15 @@ func TestNodePanicCrashesProcess(t *testing.T) {
 		Run(Config{N: 2, C: 2, T: 1}, procs)
 		os.Exit(0) // not reached: the panic must crash the process
 	}
-	for mode := range SchedulerModes {
-		t.Run(mode, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "^TestNodePanicCrashesProcess$", "-test.v")
-			cmd.Env = append(os.Environ(), "RADIO_NODE_PANIC_HELPER="+mode)
-			out, err := cmd.CombinedOutput()
-			if err == nil {
-				t.Fatalf("helper exited cleanly; want a crash. output:\n%s", out)
-			}
-			if !strings.Contains(string(out), "node exploded") {
-				t.Fatalf("crash output does not carry the panic value:\n%s", out)
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestNodePanicCrashesProcess$", "-test.v")
+		cmd.Env = append(os.Environ(), "RADIO_NODE_PANIC_HELPER=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("helper exited cleanly; want a crash. output:\n%s", out)
+		}
+		if !strings.Contains(string(out), "node exploded") {
+			t.Fatalf("crash output does not carry the panic value:\n%s", out)
+		}
+	})
 }

@@ -1,10 +1,9 @@
 package radio_test
 
-// Context-cancellation suite for RunContext, exercised under both drive
-// modes (CI runs it with -race): cancellation must abort the run at a
-// deterministic round boundary, tear down every node goroutine/coroutine,
-// and report an error chain that carries both radio.ErrCanceled and the
-// context's own error.
+// Context-cancellation suite for RunContext (CI runs it with -race):
+// cancellation must abort the run at a deterministic round boundary, tear
+// down every node coroutine, and report an error chain that carries both
+// radio.ErrCanceled and the context's own error.
 
 import (
 	"context"
@@ -36,37 +35,32 @@ func loopingProcs(n, rounds int) []radio.Process {
 }
 
 func TestRunContextCancelMidRun(t *testing.T) {
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// Cancel from the trace callback, which runs on the resolving
-			// goroutine: the cut lands at a deterministic round.
-			cfg := radio.Config{
-				N: 4, C: 2, T: 0, Seed: 1,
-				Trace: func(o radio.RoundObservation) {
-					if o.Round == 49 {
-						cancel()
-					}
-				},
-			}
-			res, err := radio.RunContext(ctx, cfg, loopingProcs(4, 10_000))
-			if !errors.Is(err, radio.ErrCanceled) {
-				t.Fatalf("err = %v, want radio.ErrCanceled", err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, does not wrap context.Canceled", err)
-			}
-			// Round 49's trace cancels; round 50 is the first resolution
-			// that observes it, so exactly 50 rounds completed.
-			if res.Rounds != 50 {
-				t.Fatalf("res.Rounds = %d, want 50", res.Rounds)
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// Cancel from the trace callback, which runs on the resolving
+		// goroutine: the cut lands at a deterministic round.
+		cfg := radio.Config{
+			N: 4, C: 2, T: 0, Seed: 1,
+			Trace: func(o radio.RoundObservation) {
+				if o.Round == 49 {
+					cancel()
+				}
+			},
+		}
+		res, err := radio.RunContext(ctx, cfg, loopingProcs(4, 10_000))
+		if !errors.Is(err, radio.ErrCanceled) {
+			t.Fatalf("err = %v, want radio.ErrCanceled", err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, does not wrap context.Canceled", err)
+		}
+		// Round 49's trace cancels; round 50 is the first resolution
+		// that observes it, so exactly 50 rounds completed.
+		if res.Rounds != 50 {
+			t.Fatalf("res.Rounds = %d, want 50", res.Rounds)
+		}
+	})
 }
 
 func TestRunContextPreCanceled(t *testing.T) {
@@ -83,22 +77,18 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 func TestRunContextDeadline(t *testing.T) {
-	for modeName, mode := range radio.SchedulerModes {
-		t.Run(modeName, func(t *testing.T) {
-			restore := radio.ForceSchedulerMode(mode)
-			defer restore()
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			cfg := radio.Config{N: 8, C: 3, T: 0, Seed: 7}
-			_, err := radio.RunContext(ctx, cfg, loopingProcs(8, 50_000_000))
-			if !errors.Is(err, radio.ErrCanceled) {
-				t.Fatalf("err = %v, want radio.ErrCanceled", err)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, does not wrap DeadlineExceeded", err)
-			}
-		})
-	}
+	t.Run("pump", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		cfg := radio.Config{N: 8, C: 3, T: 0, Seed: 7}
+		_, err := radio.RunContext(ctx, cfg, loopingProcs(8, 50_000_000))
+		if !errors.Is(err, radio.ErrCanceled) {
+			t.Fatalf("err = %v, want radio.ErrCanceled", err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, does not wrap DeadlineExceeded", err)
+		}
+	})
 }
 
 // TestRunContextUncancelableIsRun pins the fast path: a Background

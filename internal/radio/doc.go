@@ -23,21 +23,25 @@
 //
 // # Scheduler
 //
-// The engine keeps all nodes in lock-step with a generation-counted round
-// barrier rather than per-node channel rendezvous. Its synchronization
-// contract, per round:
+// The engine keeps all nodes in lock-step by running every node Process
+// as an iter.Pull coroutine and resuming the coroutines from Run's own
+// goroutine, in node-ID order, once per round. Per round:
 //
-//   - every live node writes its committed NodeAction into its private
-//     slot of a shared actions table and arrives at the barrier with a
-//     single atomic increment;
-//   - the arrival that completes the round resolves it: actions are
+//   - each live node writes its committed NodeAction into its private
+//     slot of a shared actions table and yields;
+//   - once every live node has yielded, the round is resolved: actions are
 //     collected in node-ID order (which makes every execution a pure
 //     function of Config.Seed), the adversary's clipped transmissions are
 //     merged in, collision semantics produce the per-channel deliveries,
 //     and the adversary and any Trace hook observe the round;
-//   - the resolved generation is then published and all nodes resume,
-//     each reading its own delivery directly from the per-channel slots,
-//     which stay stable until every node has arrived for the next round.
+//   - each node, when next resumed, reads its own delivery directly from
+//     the per-channel slots, which stay stable until the next resolution.
+//
+// Node programs therefore run one at a time and must not block on one
+// another outside Env (see Process). A run executes on one goroutine at a
+// time whatever GOMAXPROCS is; campaign-scale callers get parallelism by running many
+// independent runs at once, which the engine supports without shared
+// state.
 //
 // Resolution is sparse, so the large regime (N in the thousands, C in
 // the hundreds) is first-class:
@@ -46,8 +50,8 @@
 //     this round; delivery, fault drops and the per-channel clear all
 //     iterate that list, making the channel phases O(active
 //     transmissions) rather than O(C). The clear is deferred to the
-//     start of the NEXT round's resolution because followers read their
-//     delivery slots after the generation publish;
+//     start of the NEXT round's resolution because nodes read their
+//     delivery slots when they are next resumed;
 //   - a live-node roster, compacted in place as nodes finish (stable, so
 //     ascending-ID iteration order is preserved), keeps the per-round
 //     action scan proportional to nodes still running. A node downed by
@@ -58,24 +62,18 @@
 //     engine scratch, so crossing the 64-channel boundary changes
 //     neither semantics nor the allocation budget.
 //
-// The barrier has two drive modes with byte-identical observable behavior
-// (the golden equivalence suite pins both against the seed engine's
-// traces). On a multi-core runtime, node Processes run on goroutines that
-// park on the barrier and the last arrival leads the resolution. On a
-// single-P runtime (GOMAXPROCS=1), where goroutine parking only buys
-// scheduler overhead, Processes run as coroutines resumed in ID order
-// from Run's own goroutine — no parking at all. Both drive modes share
-// the same resolution core. The steady-state round loop performs zero
-// heap allocations in either mode on both sides of the 64-channel
-// boundary, and engine scratch (slots, buffers, touched list, roster,
-// per-node RNG state) is recycled across runs, so campaign-scale callers
-// do not churn the GC.
+// The golden equivalence suite pins every run's observable output
+// against the seed engine's traces. The steady-state round loop performs
+// zero heap allocations on both sides of the 64-channel boundary, and
+// engine scratch (slots, buffers, touched list, roster, per-node RNG
+// state, coroutine handles) is recycled across runs, so campaign-scale
+// callers do not churn the GC.
 //
 // Teardown is uniform: aborts (round budget, invalid actions, checkpoint
-// violations) unwind every node and Run never leaks goroutines. Panics in
-// adversary or Trace callbacks propagate to Run's caller; panics in node
-// Processes crash the process, exactly as when each node owned a
-// goroutine.
+// violations, cancellation) unwind every suspended node, and Run never
+// leaks goroutines. Panics in adversary or Trace callbacks propagate to
+// Run's caller; panics in node Processes crash the process, exactly as
+// when each node owned a goroutine.
 //
 // # Transports
 //

@@ -3,58 +3,46 @@ package radio
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"securadio/internal/bitset"
 	"securadio/internal/fault"
 )
 
-// abortSignal is thrown (via panic) inside node goroutines when the engine
-// tears a run down early; the node runner recovers it.
+// abortSignal is raised (via panic) inside a node coroutine when the
+// engine tears a run down early; stopNode absorbs it.
 type abortSignal struct{}
 
-// engine is the shared state of one run: a generation-counted round
-// barrier plus the per-node action slots and per-channel delivery slots
-// the barrier orders access to.
+// engine is the shared state of one run: the per-node action slots and
+// per-channel delivery slots, and the coroutines that drive every node.
 //
-// Synchronization contract (one barrier round-trip per node per round — a
-// fraction of the seed scheduler's four channel operations per node):
+// Drive contract (one coroutine switch in and one out per node per
+// round):
 //
-//  1. each live node writes its NodeAction into actions[id] — its private
-//     slot — and arrives at the barrier (one atomic increment);
-//  2. every arrival except the last parks on the barrier's condition
-//     variable; the arrival that makes the counter reach needed (the
-//     live-node count) becomes the round's LEADER and resolves the round
-//     inline: it collects the committed actions in ID order, merges in
-//     the adversary's transmissions, resolves collision semantics into
-//     delivered, lets the adversary and tracer observe, re-arms the
-//     barrier, publishes the new resolved-round generation and wakes the
-//     followers with a single broadcast;
-//  3. each woken node (and the leader itself) checks the generation: if
-//     its round resolved it reads its delivery directly from delivered —
-//     the slots are stable until every live node has arrived again — and
-//     continues; an unchanged generation means teardown, and the node
-//     unwinds via abortSignal, so Run never leaks goroutines.
+//  1. Run's goroutine resumes each roster node's coroutine in ID order;
+//     the node writes its NodeAction into actions[id] — its private slot
+//     — and yields;
+//  2. once every live node has yielded, the same goroutine resolves the
+//     round: it collects the committed actions in ID order, merges in the
+//     adversary's transmissions, resolves collision semantics into
+//     delivered and lets the adversary and tracer observe;
+//  3. on its next resume each node reads its delivery directly from
+//     delivered — the slots are stable until the next resolution — and
+//     continues. A cancelled coroutine unwinds via abortSignal, so Run
+//     never leaves a node suspended.
 //
-// There is no scheduler goroutine: Run's caller simply waits for the node
-// goroutines. Every round is resolved by exactly one leader, and all
-// resolution state (result counters, liveness bookkeeping, scratch
-// buffers) is handed off leader-to-leader through the barrier, so the
-// resolution logic itself is single-threaded and deterministic — ID-order
-// collection makes the execution a pure function of Config.Seed no matter
-// which goroutine happens to lead a round.
+// Node programs therefore run one at a time, and all engine state is
+// touched by one goroutine only: the slots need no locks, resolution is
+// deterministic (ID-order collection makes the execution a pure function
+// of Config.Seed), and the steady-state round loop performs no
+// allocation at all.
 //
-// A panic raised by adversary or trace callbacks during resolution is
-// recovered on the leader, the run is torn down (no goroutine leaks), and
-// the original panic value is re-raised on the Run caller's goroutine,
-// preserving the seed engine's caller-visible panic contract.
-//
-// The atomic arrival counter orders every node's slot write before the
-// leader's reads, and the generation publication orders the leader's
-// writes before the followers' reads, so the slots themselves need no
-// locks and the steady-state round loop performs no allocation at all.
+// A panic raised by adversary or trace callbacks during resolution
+// unwinds to Run's caller after every coroutine is cancelled; a panic in
+// a node Process crashes the process (crashProcess), as it would on a
+// goroutine of its own.
 type engine struct {
 	cfg       Config
 	adv       Adversary
@@ -75,21 +63,11 @@ type engine struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 
-	// Barrier state. gen is mutated only while holding mu but is atomic
-	// so the leader's post-resolution check can read it without the lock.
-	arrived atomic.Int32 // arrivals this round
-	needed  atomic.Int32 // live-node count; updated only by the leader
-	gen     atomic.Int64 // resolved-round count; gen > r means round r delivered
-	mu      sync.Mutex
-	cond    sync.Cond
-	abort   bool // set during teardown; guarded by mu
-
-	// Resolution state, owned by the current round's leader.
-	round       int
-	res         Result
-	err         error
-	finished    bool
-	leaderPanic any // panic recovered from adversary/trace code, re-raised by Run
+	// Resolution state.
+	round    int
+	res      Result
+	err      error
+	finished bool
 
 	// Per-node and per-channel slots.
 	//
@@ -104,8 +82,8 @@ type engine struct {
 	// touched lists the channels the CURRENT resolved round wrote
 	// (delivered/transmitters/fromAdversary). The slots it names are
 	// cleared lazily at the start of the NEXT round's resolution — they
-	// must survive the inter-round window because followers read their
-	// deliveries from the slots after the leader publishes the generation.
+	// must survive the inter-round window because nodes read their
+	// deliveries from the slots when they are next resumed.
 	// All other channel slots hold their zero value as an invariant, so
 	// phases 1–3 cost O(active transmissions), not O(C).
 	actions       []NodeAction
@@ -132,7 +110,7 @@ type engine struct {
 	obsFaded    bitset.Set
 	xRoundDrops int
 
-	// Pump-mode state (see pump.go).
+	// Coroutine state (see runPump).
 	exited   []bool // coroutine has returned
 	pumpNext []func() (struct{}, bool)
 	pumpStop []func()
@@ -199,18 +177,10 @@ func newEngine(cfg *Config, adv Adversary, maxRounds int) *engine {
 		eng.xFaded = bitset.Sized(eng.xFaded, cfg.C)
 	}
 
-	if eng.cond.L == nil {
-		eng.cond.L = &eng.mu
-	}
-	eng.abort = false
 	eng.round = 0
 	eng.res = Result{}
 	eng.err = nil
 	eng.finished = false
-	eng.leaderPanic = nil
-	eng.gen.Store(0)
-	eng.arrived.Store(0)
-	eng.needed.Store(int32(cfg.N))
 
 	if cap(eng.envs) < cfg.N {
 		eng.envs = make([]env, cfg.N)
@@ -239,13 +209,12 @@ func (eng *engine) recycle() {
 	eng.flt, eng.faulty = nil, false
 	eng.ctx, eng.ctxDone = nil, nil
 	eng.err = nil
-	eng.leaderPanic = nil
 	clear(eng.actions)
 	clear(eng.delivered)
 	clear(eng.pumpNext)
 	clear(eng.pumpStop)
 	for i := range eng.envs {
-		eng.envs[i].yield = nil // drop coroutine/Process references held via pump yields
+		eng.envs[i].yield = nil // drop coroutine/Process references held via yields
 	}
 	eng.advClip = eng.advClip[:cap(eng.advClip)]
 	clear(eng.advClip)
@@ -258,15 +227,14 @@ func (eng *engine) recycle() {
 }
 
 // env implements Env for one node. It is used only by that node's
-// goroutine.
+// coroutine.
 type env struct {
 	id    int
 	eng   *engine
 	rng   *rand.Rand
 	round int
 
-	// yield suspends this node's coroutine in pump mode; nil under the
-	// parallel barrier.
+	// yield suspends this node's coroutine until the round resolves.
 	yield func(struct{}) bool
 }
 
@@ -279,48 +247,22 @@ func (e *env) T() int           { return e.eng.cfg.T }
 func (e *env) Round() int       { return e.round }
 func (e *env) Rand() *rand.Rand { return e.rng }
 
-// arrive records one barrier arrival. The arrival that completes the
-// round becomes the leader and resolves it inline; every other arrival
-// parks until the round resolves (or the run aborts).
-func (e *env) arrive(round int) {
-	eng := e.eng
-	if eng.arrived.Add(1) == eng.needed.Load() {
-		eng.resolveRound()
-		return
-	}
-	eng.mu.Lock()
-	for eng.gen.Load() == int64(round) && !eng.abort {
-		eng.cond.Wait()
-	}
-	eng.mu.Unlock()
-}
-
-// step performs one barrier round-trip: it commits the action into this
-// node's slot, arrives, and — once the round has resolved — serves its
-// own delivery from the engine's channel slots. Waking to an unchanged
-// generation means the run is being torn down.
+// step commits the action into this node's slot, suspends the coroutine
+// until the round has resolved and then serves the node's own delivery
+// from the engine's channel slots. A false yield is runPump cancelling
+// the coroutine during teardown.
 func (e *env) step(a NodeAction) Message {
 	eng := e.eng
 	eng.actions[e.id] = a
-	if y := e.yield; y != nil {
-		// Pump mode: suspend until the pump resumes this node, which
-		// happens only after the round resolved. A false yield is the
-		// pump cancelling the coroutine during teardown.
-		if !y(struct{}{}) {
-			panic(abortSignal{})
-		}
-	} else {
-		e.arrive(e.round)
-		if eng.gen.Load() <= int64(e.round) {
-			panic(abortSignal{})
-		}
+	if !e.yield(struct{}{}) {
+		panic(abortSignal{})
 	}
 	e.round++
 	if a.Op == OpListen {
 		// A churn-silenced node's radio is deaf: it consumes the round in
-		// lock-step but hears nothing. The down mask is leader-written
-		// during resolution and stable until every node arrives again,
-		// exactly like the delivery slots.
+		// lock-step but hears nothing. The down mask is written during
+		// resolution and stable until the next one, exactly like the
+		// delivery slots.
 		if eng.faulty && eng.flt.NodeDown(e.id) {
 			return nil
 		}
@@ -359,15 +301,17 @@ func (silentAdversary) Observe(RoundObservation) {}
 
 // Run executes the given node programs on a network described by cfg and
 // returns the run statistics. It blocks until every Process has returned
-// (or the run is aborted), and never leaks goroutines. Run is
-// RunContext with an uncancellable context.
+// (or the run is aborted), and never leaves a node suspended. Node
+// programs run one at a time, as coroutines resumed from the caller's
+// goroutine, so a Process must not block on another node outside Env.
+// Run is RunContext with an uncancellable context.
 func Run(cfg Config, procs []Process) (Result, error) {
 	return RunContext(context.Background(), cfg, procs)
 }
 
 // RunContext is Run with cancellation: the engine checks ctx once per
 // round (before resolving it) and, when the context is done, aborts the
-// run through the normal teardown path — no goroutine leaks, no partially
+// run through the normal teardown path — no suspended nodes, no partially
 // resolved rounds — returning an error that wraps both ErrCanceled and
 // the context's own error. An uncancellable context costs the round loop
 // one nil comparison per round, preserving the zero-allocation steady
@@ -412,7 +356,7 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 		eng.xconn = c
 		// Close is idempotent by contract; the deferred call is the
 		// leak guard for panic unwinds (adversary/trace panics escape
-		// through runPump and the re-raise below), while the explicit
+		// through runPump), while the explicit
 		// closeConn folds a Close error into the run's result.
 		defer conn.Close()
 		// The engine observes cancellation at round granularity, which
@@ -434,27 +378,108 @@ func RunContext(ctx context.Context, cfg Config, procs []Process) (Result, error
 			defer close(stop)
 		}
 	}
-	if usePump() {
-		res, err := eng.runPump(procs)
-		err = closeConn(conn, err)
-		eng.recycle()
-		return res, err
-	}
-	var wg sync.WaitGroup
-	wg.Add(cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		go runNode(&wg, procs[i], &eng.envs[i])
-	}
-	wg.Wait()
-
-	res, err := eng.res, eng.err
+	res, err := eng.runPump(procs)
 	err = closeConn(conn, err)
-	if p := eng.leaderPanic; p != nil {
-		eng.recycle()
-		panic(p) // re-raise an adversary/trace panic on the caller, like the seed engine
-	}
 	eng.recycle()
 	return res, err
+}
+
+// crashProcess re-raises a node Process panic on a fresh goroutine so it
+// brings the process down, exactly as if the node ran on a goroutine of
+// its own.
+func crashProcess(v any) {
+	go panic(v)
+	select {} // hold this goroutine while the crash unwinds
+}
+
+// runPump executes the run by resuming each live node's coroutine once
+// per round, in ID order, and resolving the round in between. Adversary
+// and trace panics propagate to Run's caller directly (the pump runs on
+// its goroutine); node Process panics crash the process via crashProcess.
+// Resuming a coroutine is one switch in and one out, with no runtime
+// scheduling, semaphores or timer checks, which is several times cheaper
+// than parking and waking a goroutine per node per round.
+func (eng *engine) runPump(procs []Process) (Result, error) {
+	n := eng.cfg.N
+	eng.exited = sized(eng.exited, n)
+	if cap(eng.pumpNext) < n {
+		eng.pumpNext = make([]func() (struct{}, bool), n)
+		eng.pumpStop = make([]func(), n)
+	}
+	next, stop := eng.pumpNext[:n], eng.pumpStop[:n]
+	for i := 0; i < n; i++ {
+		e, proc := &eng.envs[i], procs[i]
+		next[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+			e.yield = yield
+			proc(e)
+		})
+	}
+
+	// One recover point serves the whole run: a panic while resuming is a
+	// node Process failing and crashes the process; a panic while
+	// resolving is adversary or trace code failing and unwinds to Run's
+	// caller after the outstanding coroutines are cancelled so nothing is
+	// left suspended.
+	resuming := false
+	defer func() {
+		if r := recover(); r != nil {
+			if resuming {
+				crashProcess(r)
+			}
+			for id := 0; id < n; id++ {
+				if !eng.exited[id] {
+					eng.stopNode(stop[id])
+				}
+			}
+			panic(r)
+		}
+	}()
+
+	for !eng.finished && eng.err == nil {
+		if eng.round >= eng.maxRounds {
+			eng.err = fmt.Errorf("%w (%d rounds)", ErrMaxRounds, eng.maxRounds)
+			break
+		}
+		// Collect: resume every roster node until it commits its next
+		// action (or its Process returns, which commits the done marker).
+		// The roster is compacted by resolveCommitted, never here, so the
+		// iteration is stable while coroutines run; a node that finishes
+		// leaves the roster when the round it finished in resolves.
+		for _, id := range eng.roster {
+			resuming = true
+			_, ok := next[id]()
+			resuming = false
+			if !ok {
+				eng.exited[id] = true
+				eng.actions[id] = NodeAction{Op: opDone}
+			}
+		}
+		eng.resolveCommitted()
+	}
+
+	// Teardown: unwind every coroutine that has not already returned.
+	for id := 0; id < n; id++ {
+		if !eng.exited[id] {
+			eng.stopNode(stop[id])
+		}
+	}
+	return eng.res, eng.err
+}
+
+// stopNode cancels a node coroutine during teardown. The coroutine's
+// pending yield returns false, env.step raises abortSignal, and iter.Pull
+// re-delivers that panic here, where it is absorbed. Any other panic is a
+// node Process failing during unwind and crashes the process.
+func (eng *engine) stopNode(stop func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isAbort := r.(abortSignal); isAbort {
+				return
+			}
+			crashProcess(r)
+		}
+	}()
+	stop()
 }
 
 // closeConn closes a run's transport Conn (nil-safe) and folds a close
@@ -469,94 +494,17 @@ func closeConn(conn Conn, err error) error {
 	return err
 }
 
-// runNode wraps a node's Process, recovering the engine's abort signal and
-// committing the internal done marker on normal completion.
-func runNode(wg *sync.WaitGroup, proc Process, e *env) {
-	defer wg.Done()
-	aborted := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); ok {
-					aborted = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		proc(e)
-	}()
-	if aborted {
-		return
-	}
-	// Commit the done marker. If this arrival completes the round, this
-	// exiting goroutine leads its resolution.
-	eng := e.eng
-	eng.actions[e.id] = NodeAction{Op: opDone}
-	if eng.arrived.Add(1) == eng.needed.Load() {
-		eng.resolveRound()
-	}
-}
-
-// fail aborts the run from inside resolution: it records the error and
-// wakes every parked node without publishing a new generation, which the
-// nodes read as teardown.
+// fail aborts the run from inside resolution by recording its error;
+// runPump stops at the end of the round and tears every node down.
 func (eng *engine) fail(err error) {
 	eng.err = err
-	eng.finished = true
-	eng.mu.Lock()
-	eng.abort = true
-	eng.mu.Unlock()
-	eng.cond.Broadcast()
-}
-
-// resolveRound runs on the round's leader (parallel barrier mode) once
-// every live node has committed an action. It is effectively
-// single-threaded: the barrier guarantees no other node touches the
-// engine until the leader publishes the resolution.
-func (eng *engine) resolveRound() {
-	defer func() {
-		if p := recover(); p != nil {
-			// An adversary or trace callback panicked. Tear the run down
-			// cleanly and let Run re-raise the value on the caller.
-			eng.leaderPanic = p
-			eng.fail(nil)
-		}
-	}()
-
-	round := eng.round
-	if eng.finished {
-		// A normally-exiting node arrived after the run already aborted;
-		// there is nothing left to resolve.
-		return
-	}
-	if round >= eng.maxRounds {
-		eng.fail(fmt.Errorf("%w (%d rounds)", ErrMaxRounds, eng.maxRounds))
-		return
-	}
-	if !eng.resolveCommitted() {
-		return // failed (fail already broadcast) or finished (no waiters)
-	}
-
-	// Re-arm the barrier, publish the new generation and release the
-	// followers. Publishing under the lock pairs with the followers'
-	// locked generation check; delivered stays untouched until every live
-	// node has arrived again, so followers read their deliveries without
-	// further coordination.
-	eng.needed.Store(int32(len(eng.roster)))
-	eng.arrived.Store(0)
-	eng.mu.Lock()
-	eng.gen.Store(int64(round) + 1)
-	eng.mu.Unlock()
-	eng.cond.Broadcast()
 }
 
 // resolveCommitted resolves exactly one round from the committed action
-// slots — the resolution core shared by both schedulers. It returns true
-// when the round resolved and the run continues, false when the run ended
-// (protocol completion sets finished; violations go through fail).
-func (eng *engine) resolveCommitted() bool {
-	// Cancellation is observed at round granularity: the leader checks the
+// slots. A round that ends the run sets finished (protocol completion) or
+// err (violations, through fail).
+func (eng *engine) resolveCommitted() {
+	// Cancellation is observed at round granularity: the engine checks the
 	// context once per round, before resolving, so a canceled run tears
 	// down through the same abort path as any other failure and the
 	// aborted round contributes nothing to the statistics.
@@ -564,7 +512,7 @@ func (eng *engine) resolveCommitted() bool {
 		select {
 		case <-eng.ctxDone:
 			eng.fail(fmt.Errorf("%w after %d rounds: %w", ErrCanceled, eng.res.Rounds, context.Cause(eng.ctx)))
-			return false
+			return
 		default:
 		}
 	}
@@ -577,16 +525,16 @@ func (eng *engine) resolveCommitted() bool {
 	// Fault plans advance at round granularity, before any action is
 	// examined: churn windows open/close and the channel fade states take
 	// their Markov step, consuming a traffic-independent number of random
-	// draws so the schedule is identical across drive modes.
+	// draws so the schedule does not depend on what the nodes do.
 	if eng.faulty {
 		eng.flt.BeginRound(round)
 	}
 
 	// Lazily clear the channel slots the PREVIOUS round touched. The clear
-	// cannot happen when that round resolves — followers read their
-	// deliveries from the slots after the generation publish — but by the
-	// time this round's leader runs, every live node has arrived again, so
-	// the slots are free. Every other channel already holds its zero value
+	// cannot happen when that round resolves — nodes read their deliveries
+	// from the slots when they are next resumed — but by the time this
+	// round resolves, every live node has been resumed again, so the slots
+	// are free. Every other channel already holds its zero value
 	// (the invariant touched maintains), making this pass O(previous
 	// round's active channels) instead of O(C).
 	touched := eng.touched
@@ -628,7 +576,7 @@ func (eng *engine) resolveCommitted() bool {
 		case OpTransmit, OpListen:
 			if a.Channel < 0 || a.Channel >= cfg.C {
 				eng.fail(fmt.Errorf("%w: node %d round %d: channel %d out of range [0,%d)", ErrBadAction, id, round, a.Channel, cfg.C))
-				return false
+				return
 			}
 			if a.Op == OpTransmit {
 				if eng.faulty && eng.flt.NodeDown(id) {
@@ -654,13 +602,13 @@ func (eng *engine) resolveCommitted() bool {
 		case OpCheckpoint:
 			if sawCheckpoint && a.Tag != checkpointTag {
 				eng.fail(fmt.Errorf("%w: round %d: tag %q vs %q", ErrCheckpoint, round, a.Tag, checkpointTag))
-				return false
+				return
 			}
 			sawCheckpoint = true
 			checkpointTag = a.Tag
 		default:
 			eng.fail(fmt.Errorf("%w: node %d round %d: unknown op %v", ErrBadAction, id, round, a.Op))
-			return false
+			return
 		}
 		roster[w] = id32
 		w++
@@ -668,13 +616,13 @@ func (eng *engine) resolveCommitted() bool {
 	eng.roster = roster[:w]
 	if w == 0 {
 		// Every node finished without starting this round: the run is
-		// complete, and no waiter is parked (they all exited).
+		// complete.
 		eng.finished = true
-		return false
+		return
 	}
 	if sawCheckpoint && sawOther {
 		eng.fail(fmt.Errorf("%w: round %d: checkpoint mixed with other operations", ErrCheckpoint, round))
-		return false
+		return
 	}
 	eng.res.HonestTransmissions += honestTx
 
@@ -722,7 +670,7 @@ func (eng *engine) resolveCommitted() bool {
 	// same thing over every backend.
 	if eng.xconn != nil {
 		if !eng.resolveTransport(round) {
-			return false
+			return
 		}
 		if eng.faulty {
 			eng.flt.EndRound()
@@ -757,7 +705,7 @@ func (eng *engine) resolveCommitted() bool {
 	}
 
 	// Phase 4: the adversary (and any tracer) observes everything. This
-	// must precede the round's release: as soon as nodes resume they
+	// must precede the next collect: as soon as nodes resume they
 	// overwrite their action slots for the next round. Silent untraced
 	// runs build no observation at all.
 	if !eng.silent || cfg.Trace != nil {
@@ -794,7 +742,6 @@ func (eng *engine) resolveCommitted() bool {
 	}
 	eng.res.Rounds++
 	eng.round++
-	return true
 }
 
 // resolveTransport runs a transport round: it hands the staged wire

@@ -245,20 +245,8 @@ func digestFaultObservation(h hash.Hash, o radio.RoundObservation) {
 	}
 }
 
-func TestFaultDeterminismAcrossDriveModes(t *testing.T) {
-	digests := make(map[string]string)
-	for modeName, mode := range radio.SchedulerModes {
-		restore := radio.ForceSchedulerMode(mode)
-		d1 := faultedDigest(t, 31)
-		d2 := faultedDigest(t, 31)
-		restore()
-		if d1 != d2 {
-			t.Fatalf("%s: faulted run nondeterministic: %s then %s", modeName, d1, d2)
-		}
-		digests[modeName] = d1
-	}
-	if digests["barrier"] != digests["pump"] {
-		t.Fatalf("faulted run diverges across drive modes:\nbarrier %s\npump    %s",
-			digests["barrier"], digests["pump"])
+func TestFaultDeterminism(t *testing.T) {
+	if d1, d2 := faultedDigest(t, 31), faultedDigest(t, 31); d1 != d2 {
+		t.Fatalf("faulted run nondeterministic: %s then %s", d1, d2)
 	}
 }

@@ -203,12 +203,10 @@ type Env interface {
 //
 // A Process must interact with the rest of the network only through its
 // Env: every cross-node information flow in the model is a radio round.
-// Blocking on out-of-band shared state between Env calls (channels,
-// mutexes, condition variables tied to another node's progress) is
-// outside the model's semantics, and the engine is free to schedule node
-// programs in any way that preserves round lock-step — including running
-// them as coroutines resumed sequentially, where such out-of-band
-// blocking deadlocks the run.
+// Node programs run one at a time, as coroutines resumed in ID order
+// from Run's goroutine, so a Process that blocks on out-of-band shared
+// state tied to another node's progress (channels, mutexes, condition
+// variables) between Env calls deadlocks the run.
 type Process func(Env)
 
 // Config describes a network instance.

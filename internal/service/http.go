@@ -9,7 +9,7 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /jobs              submit a job (202 + status; body: submission JSON)
+//	POST   /jobs              submit a job (202 + status; body: submission JSON, at most 1 MiB)
 //	GET    /jobs              list all jobs in admission order
 //	GET    /jobs/{id}         one job's status
 //	DELETE /jobs/{id}         cancel a pending or running job
@@ -50,6 +50,8 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -65,8 +67,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSubmission bounds a POST /jobs body. Submissions are a job spec and
+// at most an embedded scenario catalog: kilobytes, not megabytes.
+const maxSubmission = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sub, err := parseSubmission(r.Body)
+	sub, err := parseSubmission(http.MaxBytesReader(w, r.Body, maxSubmission))
 	if err != nil {
 		httpError(w, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -312,5 +313,89 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 	if health.Status != "draining" {
 		t.Fatalf("healthz after drain = %+v, want draining", health)
+	}
+}
+
+// TestFinishedJobsRetainLittleHeap pins job retirement: a daemon keeps
+// every job it ran, so what a finished job retains bounds its memory over
+// a long life. 2,000 jobs go through Handler() — submit, stream to the
+// end event — and the heap that survives GC must grow by less than 1 KiB
+// per finished job.
+func TestFinishedJobsRetainLittleHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 2,000 jobs")
+	}
+	const jobs, budget = 2000, 1024
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"campaign":{"scenario":"tiny","runs":1,"seed":3},` +
+		`"catalog":{"scenarios":[{"name":"tiny","proto":"fame","n":20,"c":2,"t":1,"pairs":1,"adversary":"none"}]}}`
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st JobStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+			}
+			events, err := http.Get(ts.URL + "/jobs/" + st.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, events.Body) // the stream closes after "end"
+			events.Body.Close()
+			if final, err := s.Status(st.ID); err != nil || final.State != StateDone {
+				t.Fatalf("job %s: %+v, %v", st.ID, final, err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(50) // warm pools, connections and the report store
+	before := heap()
+	run(jobs)
+	after := heap()
+	per := (int64(after) - int64(before)) / jobs
+	t.Logf("retained heap: %d B per finished job", per)
+	if per >= budget {
+		t.Fatalf("finished jobs retain %d B of heap each, want < %d", per, budget)
+	}
+}
+
+// TestSubmitBodyBound pins the POST /jobs body bound: a body over 1 MiB
+// is refused with a JSON 413, whether the excess sits inside the job
+// object or after it, where the trailing-data check reads it.
+func TestSubmitBodyBound(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	pad := strings.Repeat(" ", maxSubmission)
+	for name, body := range map[string]string{
+		"inside":   `{"tenant":"` + strings.Repeat("x", maxSubmission) + `"}`,
+		"trailing": `{"campaign":{"scenario":"fame-clear","runs":1}}` + pad,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || e["error"] == "" {
+			t.Fatalf("%s: status %d, body %v (%v); want a JSON 413", name, resp.StatusCode, e, derr)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("an oversized submission was admitted: %+v", jobs)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 
 	"securadio/internal/fleet"
@@ -80,6 +82,8 @@ type sweepSpec struct {
 
 // parseSubmission strictly decodes a POST /jobs body: unknown fields and
 // trailing data are rejected, like every other JSON surface of the repo.
+// A read error — an *http.MaxBytesError from the handler's body bound
+// among them — is wrapped, wherever in the body it strikes.
 func parseSubmission(r io.Reader) (*submission, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -87,25 +91,28 @@ func parseSubmission(r io.Reader) (*submission, error) {
 	if err := dec.Decode(&sub); err != nil {
 		return nil, fmt.Errorf("service: job submission: %w", err)
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("service: job submission: trailing data after the job object")
+	switch err := dec.Decode(new(json.RawMessage)); {
+	case err == io.EOF:
+		return &sub, nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return nil, fmt.Errorf("service: job submission: %w", err)
+	default:
+		return nil, errors.New("service: job submission: trailing data after the job object")
 	}
-	return &sub, nil
 }
 
 // job is one queued unit of work and its mutable status. The status
 // fields are guarded by the owning Server's mutex; the definition fields
-// (kind, campaign/sweep/adaptive, trace) are immutable after admission.
+// (kind, def, trace) are immutable after admission. A daemon keeps every
+// job it ran, so a terminal job is retired down to its status: see
+// retire.
 type job struct {
 	id     string
 	tenant string
 	kind   string
 	target string
 	trace  bool
-
-	campaign fleet.Campaign
-	sweep    fleet.Sweep
-	adaptive fleet.AdaptiveSweep
+	def    *jobDef // nil once retired
 
 	state     State
 	submitted time.Time
@@ -117,7 +124,30 @@ type job struct {
 	runsTotal int
 
 	cancel context.CancelFunc
-	hub    *hub
+	hub    *hub // nil once retired
+}
+
+// jobDef is a job's executable definition; kind selects the field that
+// is set.
+type jobDef struct {
+	campaign fleet.Campaign
+	sweep    fleet.Sweep
+	adaptive fleet.AdaptiveSweep
+}
+
+// retire releases what only a live job needs — its definition, context
+// and event hub — once the job has reached a terminal state. It returns
+// the hub for the caller to close with the terminal event outside the
+// server mutex; Subscribe rebuilds that event from status() for later
+// subscribers. Callers hold the server mutex.
+func (j *job) retire() *hub {
+	h := j.hub
+	j.def, j.hub = nil, nil
+	if j.cancel != nil {
+		j.cancel()
+		j.cancel = nil
+	}
+	return h
 }
 
 // JobStatus is a job's JSON view, returned by the status endpoints and

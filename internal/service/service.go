@@ -184,7 +184,7 @@ func (s *Server) buildJob(sub *submission) (*job, error) {
 		return fleet.Lookup(name)
 	}
 
-	j := &job{tenant: sub.Tenant, trace: sub.Trace}
+	j := &job{tenant: sub.Tenant, trace: sub.Trace, def: new(jobDef)}
 	if j.tenant == "" {
 		j.tenant = "default"
 	}
@@ -202,7 +202,7 @@ func (s *Server) buildJob(sub *submission) (*job, error) {
 			return nil, err
 		}
 		j.kind, j.target = KindCampaign, c.Scenario
-		j.campaign = camp
+		j.def.campaign = camp
 		j.runsTotal = camp.Runs
 		return j, nil
 	}
@@ -227,7 +227,7 @@ func (s *Server) buildJob(sub *submission) (*job, error) {
 			return nil, err
 		}
 		j.kind, j.target = KindSweep, sp.Name
-		j.sweep = sw
+		j.def.sweep = sw
 		j.runsTotal = len(plan.Cells()) * sw.Runs
 		return j, nil
 	}
@@ -246,7 +246,7 @@ func (s *Server) buildJob(sub *submission) (*job, error) {
 			return nil, err
 		}
 		j.kind, j.target = KindAdaptive, sp.Name
-		j.adaptive = as
+		j.def.adaptive = as
 		// An adaptive search decides its own cell count as it bisects, so
 		// the total is unknown up front; runs_total stays 0.
 		return j, nil
@@ -300,17 +300,18 @@ func (s *Server) nextLocked() *job {
 // fleet worker pool; the hooks below are the only service-side code on
 // that hot path, and every event they publish is non-blocking.
 func (s *Server) execute(ctx context.Context, j *job) {
+	hub := j.hub // retire clears the field; the hooks keep publishing here
 	hooks := &fleet.RunHooks{
 		OnResult: func(cell string, r fleet.RunResult, snap *fleet.Aggregate) {
 			s.mu.Lock()
 			j.runsDone++
 			s.mu.Unlock()
-			j.hub.publish(jsonEvent("run", runEvent{
+			hub.publish(jsonEvent("run", runEvent{
 				Cell: cell, Run: r.Run, Seed: r.Seed,
 				Rounds: r.Rounds, Attempted: r.Attempted, Delivered: r.Delivered,
 				Cover: r.Cover, Error: r.Err,
 			}))
-			j.hub.publish(jsonEvent("aggregate", snap))
+			hub.publish(jsonEvent("aggregate", snap))
 		},
 	}
 	if j.trace {
@@ -330,7 +331,7 @@ func (s *Server) execute(ctx context.Context, j *job) {
 					ev.Delivered++
 				}
 			}
-			j.hub.publish(jsonEvent("round", ev))
+			hub.publish(jsonEvent("round", ev))
 		}
 	}
 
@@ -341,19 +342,19 @@ func (s *Server) execute(ctx context.Context, j *job) {
 	switch j.kind {
 	case KindCampaign:
 		var agg *fleet.Aggregate
-		agg, err = fleet.RunWithHooks(ctx, j.campaign, hooks)
+		agg, err = fleet.RunWithHooks(ctx, j.def.campaign, hooks)
 		if err == nil {
 			blob, err = encodeReport(agg)
 		}
 	case KindSweep:
 		var matrix *fleet.SweepResult
-		matrix, err = fleet.RunSweepWithHooks(ctx, j.sweep, hooks)
+		matrix, err = fleet.RunSweepWithHooks(ctx, j.def.sweep, hooks)
 		if err == nil {
 			blob, err = encodeReport(matrix)
 		}
 	case KindAdaptive:
 		var res *fleet.AdaptiveResult
-		res, err = fleet.RunAdaptiveSweep(ctx, j.adaptive)
+		res, err = fleet.RunAdaptiveSweep(ctx, j.def.adaptive)
 		if err == nil {
 			blob, err = encodeReport(res)
 		}
@@ -378,13 +379,14 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		j.reportSHA = sha
 	}
 	st := j.status()
+	j.retire()
 	s.running--
 	s.scheduleLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	s.logf("job %s %s (%d runs)", j.id, st.State, st.RunsDone)
-	j.hub.closeWith(jsonEvent("end", st))
+	hub.closeWith(jsonEvent("end", st))
 }
 
 // jsonReport is the deterministic JSON surface shared by the three
@@ -443,9 +445,10 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		j.errMsg = "cancelled"
 		j.finished = time.Now().UTC()
 		st := j.status()
+		h := j.retire()
 		s.mu.Unlock()
 		s.logf("job %s cancelled while pending", j.id)
-		j.hub.closeWith(jsonEvent("end", st))
+		h.closeWith(jsonEvent("end", st))
 		return st, nil
 	case StateRunning:
 		st := j.status()
@@ -492,15 +495,20 @@ func (s *Server) dequeueLocked(j *job) {
 func (s *Server) Subscribe(id string) (*subscriber, *hub, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	var snapshot Event
-	if ok {
-		snapshot = jsonEvent("job", j.status())
-	}
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoJob, id)
 	}
-	return j.hub.subscribe(&snapshot), j.hub, nil
+	snapshot := jsonEvent("job", j.status())
+	h := j.hub
+	if h == nil {
+		// Retired: replay the terminal event, which status() reproduces
+		// byte for byte because a terminal job's status never changes.
+		h = newHub(1)
+		h.closeWith(jsonEvent("end", j.status()))
+	}
+	s.mu.Unlock()
+	return h.subscribe(&snapshot), h, nil
 }
 
 // Report returns a completed job's stored report bytes.
@@ -552,17 +560,20 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.pending = make(map[string][]*job)
 	s.ring = nil
-	for _, j := range dropped {
+	ends := make([]Event, len(dropped))
+	hubs := make([]*hub, len(dropped))
+	for i, j := range dropped {
 		j.state = StateCancelled
 		j.errMsg = "cancelled: server draining"
 		j.finished = time.Now().UTC()
+		ends[i] = jsonEvent("end", j.status())
+		hubs[i] = j.retire()
 	}
 	running := s.running
 	s.mu.Unlock()
 
-	for _, j := range dropped {
-		st, _ := s.Status(j.id)
-		j.hub.closeWith(jsonEvent("end", st))
+	for i, h := range hubs {
+		h.closeWith(ends[i])
 	}
 	s.logf("draining: %d pending cancelled, %d running", len(dropped), running)
 

@@ -34,7 +34,6 @@
 package testnet
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"securadio/internal/fleet"
+	"securadio/internal/frame"
 	"securadio/internal/radio"
 	"securadio/internal/transport/udp"
 )
@@ -204,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (fleet.RunResult, error) {
 	// Handshake: accept one control connection per worker.
 	type worker struct {
 		conn net.Conn
-		r    *bufio.Reader
+		r    *frame.Reader
 		enc  *json.Encoder
 	}
 	workers := make([]worker, cfg.Workers)
@@ -215,7 +215,8 @@ func Run(ctx context.Context, cfg Config) (fleet.RunResult, error) {
 			return zero, fmt.Errorf("testnet: worker %d never connected: %w", w, err)
 		}
 		defer conn.Close()
-		workers[w] = worker{conn: conn, r: bufio.NewReader(conn), enc: json.NewEncoder(conn)}
+		peer := fmt.Sprintf("testnet worker %d (%s)", w, conn.RemoteAddr())
+		workers[w] = worker{conn: conn, r: frame.NewReader(conn, frame.MaxLine, peer), enc: json.NewEncoder(conn)}
 		h := hello{Rank: w, Workers: cfg.Workers, Scenario: cfg.Scenario, Seed: cfg.Seed, Loss: cfg.Loss, Hubs: addrs}
 		if err := workers[w].enc.Encode(h); err != nil {
 			return zero, fmt.Errorf("testnet: handshake worker %d: %w", w, err)
@@ -253,7 +254,7 @@ func Run(ctx context.Context, cfg Config) (fleet.RunResult, error) {
 		live := 0
 		for w := range workers {
 			_ = workers[w].conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-			line, err := workers[w].r.ReadBytes('\n')
+			line, err := workers[w].r.ReadLine()
 			if err != nil {
 				return zero, fmt.Errorf("testnet: worker %d round %d: control read: %w", w, round, err)
 			}
@@ -362,9 +363,9 @@ func RunWorker(ctx context.Context, addr string) error {
 		return fmt.Errorf("testnet worker: dial coordinator: %w", err)
 	}
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	r := frame.NewReader(conn, frame.MaxLine, "testnet coordinator "+addr)
 	var h hello
-	line, err := r.ReadBytes('\n')
+	line, err := r.ReadLine()
 	if err != nil {
 		return fmt.Errorf("testnet worker: handshake: %w", err)
 	}
@@ -405,7 +406,7 @@ func RunWorker(ctx context.Context, addr string) error {
 type replicaTransport struct {
 	rank, workers int
 	conn          net.Conn
-	r             *bufio.Reader
+	r             *frame.Reader
 	enc           *json.Encoder
 	sender        *net.UDPConn
 	hubs          []*net.UDPAddr
@@ -457,7 +458,7 @@ func (rc *replicaConn) Commit(round int, txs []radio.WireTx) ([]radio.ChannelOut
 	// 3. Authority: apply the coordinator's resolution, materializing
 	// payloads from local memory — every replica committed the same
 	// set, so the payload for any surviving (origin, channel) is here.
-	line, err := rt.r.ReadBytes('\n')
+	line, err := rt.r.ReadLine()
 	if err != nil {
 		return nil, fmt.Errorf("testnet: outcome read: %w", err)
 	}
