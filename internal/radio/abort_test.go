@@ -152,49 +152,52 @@ func TestAdversaryPanicReachesCaller(t *testing.T) {
 // seed must produce the same result. Combined with -race this is the
 // pool-reuse data-race check.
 func TestConcurrentRunsShareNothing(t *testing.T) {
-	t.Run("pump", func(t *testing.T) {
-		const workers, iters = 8, 12
-		want, err := concurrencyProbeRun(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make(chan error, workers*iters)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for k := 0; k < iters; k++ {
-					if k%3 == 2 { // interleave aborted runs to dirty the pool
-						procs := []Process{func(e Env) {
-							for {
-								e.Sleep()
+	for _, v := range ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			WithProcs(t, v.Procs)
+			const workers, iters = 8, 12
+			want, err := concurrencyProbeRun(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, workers*iters)
+			wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go func() {
+					defer wg.Done()
+					for k := 0; k < iters; k++ {
+						if k%3 == 2 { // interleave aborted runs to dirty the pool
+							procs := []Process{func(e Env) {
+								for {
+									e.Sleep()
+								}
+							}}
+							if _, err := Run(Config{N: 1, C: 2, T: 0, MaxRounds: 4}, procs); !errors.Is(err, ErrMaxRounds) {
+								errs <- fmt.Errorf("aborted probe: err = %v", err)
+								return
 							}
-						}}
-						if _, err := Run(Config{N: 1, C: 2, T: 0, MaxRounds: 4}, procs); !errors.Is(err, ErrMaxRounds) {
-							errs <- fmt.Errorf("aborted probe: err = %v", err)
+							continue
+						}
+						got, err := concurrencyProbeRun(0)
+						if err != nil {
+							errs <- err
 							return
 						}
-						continue
+						if got != want {
+							errs <- fmt.Errorf("result diverged across pooled runs: %+v vs %+v", got, want)
+							return
+						}
 					}
-					got, err := concurrencyProbeRun(0)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got != want {
-						errs <- fmt.Errorf("result diverged across pooled runs: %+v vs %+v", got, want)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-	})
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // concurrencyProbeRun is a deterministic mixed workload whose Result

@@ -35,32 +35,35 @@ func loopingProcs(n, rounds int) []radio.Process {
 }
 
 func TestRunContextCancelMidRun(t *testing.T) {
-	t.Run("pump", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		// Cancel from the trace callback, which runs on the resolving
-		// goroutine: the cut lands at a deterministic round.
-		cfg := radio.Config{
-			N: 4, C: 2, T: 0, Seed: 1,
-			Trace: func(o radio.RoundObservation) {
-				if o.Round == 49 {
-					cancel()
-				}
-			},
-		}
-		res, err := radio.RunContext(ctx, cfg, loopingProcs(4, 10_000))
-		if !errors.Is(err, radio.ErrCanceled) {
-			t.Fatalf("err = %v, want radio.ErrCanceled", err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, does not wrap context.Canceled", err)
-		}
-		// Round 49's trace cancels; round 50 is the first resolution
-		// that observes it, so exactly 50 rounds completed.
-		if res.Rounds != 50 {
-			t.Fatalf("res.Rounds = %d, want 50", res.Rounds)
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Cancel from the trace callback, which runs on the resolving
+			// goroutine: the cut lands at a deterministic round.
+			cfg := radio.Config{
+				N: 4, C: 2, T: 0, Seed: 1,
+				Trace: func(o radio.RoundObservation) {
+					if o.Round == 49 {
+						cancel()
+					}
+				},
+			}
+			res, err := radio.RunContext(ctx, cfg, loopingProcs(4, 10_000))
+			if !errors.Is(err, radio.ErrCanceled) {
+				t.Fatalf("err = %v, want radio.ErrCanceled", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, does not wrap context.Canceled", err)
+			}
+			// Round 49's trace cancels; round 50 is the first resolution
+			// that observes it, so exactly 50 rounds completed.
+			if res.Rounds != 50 {
+				t.Fatalf("res.Rounds = %d, want 50", res.Rounds)
+			}
+		})
+	}
 }
 
 func TestRunContextPreCanceled(t *testing.T) {
@@ -77,18 +80,21 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 func TestRunContextDeadline(t *testing.T) {
-	t.Run("pump", func(t *testing.T) {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		cfg := radio.Config{N: 8, C: 3, T: 0, Seed: 7}
-		_, err := radio.RunContext(ctx, cfg, loopingProcs(8, 50_000_000))
-		if !errors.Is(err, radio.ErrCanceled) {
-			t.Fatalf("err = %v, want radio.ErrCanceled", err)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, does not wrap DeadlineExceeded", err)
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			cfg := radio.Config{N: 8, C: 3, T: 0, Seed: 7}
+			_, err := radio.RunContext(ctx, cfg, loopingProcs(8, 50_000_000))
+			if !errors.Is(err, radio.ErrCanceled) {
+				t.Fatalf("err = %v, want radio.ErrCanceled", err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, does not wrap DeadlineExceeded", err)
+			}
+		})
+	}
 }
 
 // TestRunContextUncancelableIsRun pins the fast path: a Background

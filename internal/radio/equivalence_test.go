@@ -8,9 +8,9 @@ package radio_test
 // transmitter count of every round — plus the final Result and error.
 // Any scheduler rewrite must reproduce these byte-for-byte.
 //
-// Engine tests across the package nest their cases under a "pump"
-// subtest, naming the drive mode they exercise, so test IDs stay stable
-// across scheduler rewrites.
+// Each cell runs once per radio.ProcsVariants entry ("barrier" and
+// "pump", named after the drive modes GOMAXPROCS used to select), so test
+// IDs stay stable across scheduler rewrites.
 //
 // Regenerate (only when intentionally changing observable semantics):
 //
@@ -335,27 +335,30 @@ func TestSchedulerEquivalence(t *testing.T) {
 	if len(golden) != len(grid) {
 		t.Fatalf("golden file has %d entries, grid has %d (regenerate with -update)", len(golden), len(grid))
 	}
-	// The coroutine pump must reproduce the seed engine's digests.
-	for _, tc := range grid {
-		tc := tc
-		t.Run("pump/"+tc.name, func(t *testing.T) {
-			want, ok := golden[tc.name]
-			if !ok {
-				t.Fatalf("no golden digest for %q (regenerate with -update)", tc.name)
-			}
-			got, err := runDigest(tc)
-			if err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-			if got != want {
-				t.Fatalf("trace digest diverged from the seed engine:\n got %s\nwant %s", got, want)
-			}
-			// The digest must also be stable across repeated runs of
-			// the same engine (determinism, not just equivalence).
-			again, _ := runDigest(tc)
-			if again != got {
-				t.Fatalf("engine is nondeterministic: %s then %s", got, again)
-			}
-		})
+	// The coroutine pump must reproduce the seed engine's digests at every
+	// GOMAXPROCS setting.
+	for _, v := range radio.ProcsVariants {
+		for _, tc := range grid {
+			t.Run(v.Name+"/"+tc.name, func(t *testing.T) {
+				radio.WithProcs(t, v.Procs)
+				want, ok := golden[tc.name]
+				if !ok {
+					t.Fatalf("no golden digest for %q (regenerate with -update)", tc.name)
+				}
+				got, err := runDigest(tc)
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				if got != want {
+					t.Fatalf("trace digest diverged from the seed engine:\n got %s\nwant %s", got, want)
+				}
+				// The digest must also be stable across repeated runs of
+				// the same engine (determinism, not just equivalence).
+				again, _ := runDigest(tc)
+				if again != got {
+					t.Fatalf("engine is nondeterministic: %s then %s", got, again)
+				}
+			})
+		}
 	}
 }

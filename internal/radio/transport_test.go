@@ -99,14 +99,17 @@ func (j *tickJammer) Observe(radio.RoundObservation) {}
 // Loopback transport is byte-identical to the same run on the native
 // medium, with and without a fault plan.
 func TestLoopbackByteIdentical(t *testing.T) {
-	for _, faulted := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pump/faulted=%v", faulted), func(t *testing.T) {
-			native := transportDigest(t, nil, faulted)
-			loopback := transportDigest(t, radio.Loopback(), faulted)
-			if native != loopback {
-				t.Fatalf("loopback diverged from native medium:\n  native   %s\n  loopback %s", native, loopback)
-			}
-		})
+	for _, v := range radio.ProcsVariants {
+		for _, faulted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/faulted=%v", v.Name, faulted), func(t *testing.T) {
+				radio.WithProcs(t, v.Procs)
+				native := transportDigest(t, nil, faulted)
+				loopback := transportDigest(t, radio.Loopback(), faulted)
+				if native != loopback {
+					t.Fatalf("loopback diverged from native medium:\n  native   %s\n  loopback %s", native, loopback)
+				}
+			})
+		}
 	}
 }
 
@@ -186,60 +189,69 @@ func constantProcs(n, rounds int) []radio.Process {
 // any round executes, wrapped in ErrTransport.
 func TestTransportOpenError(t *testing.T) {
 	boom := errors.New("no such device")
-	t.Run("pump", func(t *testing.T) {
-		tr := newInstrumented()
-		tr.openErr = boom
-		_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 5))
-		if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want ErrTransport wrapping the open error", err)
-		}
-		if got := tr.commits.Load(); got != 0 {
-			t.Fatalf("%d commits after failed open", got)
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			tr := newInstrumented()
+			tr.openErr = boom
+			_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 5))
+			if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want ErrTransport wrapping the open error", err)
+			}
+			if got := tr.commits.Load(); got != 0 {
+				t.Fatalf("%d commits after failed open", got)
+			}
+		})
+	}
 }
 
 // TestTransportCommitError pins that a mid-run Commit failure aborts the
 // run through ErrTransport and still closes the Conn.
 func TestTransportCommitError(t *testing.T) {
 	boom := errors.New("medium vanished")
-	t.Run("pump", func(t *testing.T) {
-		tr := newInstrumented()
-		tr.commitErr = boom
-		tr.failRound = 3
-		_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
-		if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want ErrTransport wrapping the commit error", err)
-		}
-		if tr.closes.Load() == 0 {
-			t.Fatal("Conn not closed after commit failure")
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			tr := newInstrumented()
+			tr.commitErr = boom
+			tr.failRound = 3
+			_, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
+			if !errors.Is(err, radio.ErrTransport) || !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want ErrTransport wrapping the commit error", err)
+			}
+			if tr.closes.Load() == 0 {
+				t.Fatal("Conn not closed after commit failure")
+			}
+		})
+	}
 }
 
 // TestTransportClosedOnCompletion pins the ordinary teardown: one Open,
 // at least one Close, one Commit per resolved round.
 func TestTransportClosedOnCompletion(t *testing.T) {
 	const rounds = 12
-	t.Run("pump", func(t *testing.T) {
-		tr := newInstrumented()
-		res, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, rounds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rounds != rounds {
-			t.Fatalf("rounds = %d, want %d", res.Rounds, rounds)
-		}
-		if got := tr.opens.Load(); got != 1 {
-			t.Fatalf("opens = %d, want 1", got)
-		}
-		if tr.closes.Load() == 0 {
-			t.Fatal("Conn never closed")
-		}
-		if got := int(tr.commits.Load()); got != rounds {
-			t.Fatalf("commits = %d, want one per round (%d)", got, rounds)
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			tr := newInstrumented()
+			res, err := radio.Run(radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, rounds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds != rounds {
+				t.Fatalf("rounds = %d, want %d", res.Rounds, rounds)
+			}
+			if got := tr.opens.Load(); got != 1 {
+				t.Fatalf("opens = %d, want 1", got)
+			}
+			if tr.closes.Load() == 0 {
+				t.Fatal("Conn never closed")
+			}
+			if got := int(tr.commits.Load()); got != rounds {
+				t.Fatalf("commits = %d, want one per round (%d)", got, rounds)
+			}
+		})
+	}
 }
 
 // TestTransportCancelMidCommit pins satellite 3's fix: canceling the
@@ -247,32 +259,35 @@ func TestTransportClosedOnCompletion(t *testing.T) {
 // (unblocking the Commit) and report ErrCanceled — the run must not wait
 // out the medium.
 func TestTransportCancelMidCommit(t *testing.T) {
-	t.Run("pump", func(t *testing.T) {
-		tr := newInstrumented()
-		tr.blockAt = 2 // Commit blocks until Close from round 2 on
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cancel()
-		}()
-		done := make(chan struct{})
-		var err error
-		go func() {
-			defer close(done)
-			_, err = radio.RunContext(ctx, radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("canceled run did not tear down; Commit still blocked")
-		}
-		if !errors.Is(err, radio.ErrCanceled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
-		}
-		if tr.closes.Load() == 0 {
-			t.Fatal("Conn not closed on cancellation")
-		}
-	})
+	for _, v := range radio.ProcsVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			radio.WithProcs(t, v.Procs)
+			tr := newInstrumented()
+			tr.blockAt = 2 // Commit blocks until Close from round 2 on
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+			}()
+			done := make(chan struct{})
+			var err error
+			go func() {
+				defer close(done)
+				_, err = radio.RunContext(ctx, radio.Config{N: 4, C: 2, Seed: 1, Transport: tr}, constantProcs(4, 10))
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("canceled run did not tear down; Commit still blocked")
+			}
+			if !errors.Is(err, radio.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+			}
+			if tr.closes.Load() == 0 {
+				t.Fatal("Conn not closed on cancellation")
+			}
+		})
+	}
 }
 
 // TestTransportMalformedOutcome pins the engine's validation of backend

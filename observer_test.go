@@ -4,8 +4,10 @@ package securadio
 // testdata/observer.golden pin the complete public event stream — every
 // round's phase bookkeeping and per-channel activity — for a grid of
 // (layer, N, C, T, adversary, seed) cells, and the test replays every
-// cell: the stream must match the golden digest and be byte-identical
-// across repeated runs. This extends the scheduler-equivalence suite from
+// cell at GOMAXPROCS=2 and 1 (subtests "barrier" and "pump", after the
+// drive modes those settings selected when the engine had two): the
+// stream must match the golden digest and be byte-identical across
+// repeated runs. This extends the scheduler-equivalence suite from
 // the internal Trace stream to the promoted public Observer surface.
 //
 // Regenerate (only when intentionally changing the event model):
@@ -22,6 +24,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -181,25 +184,31 @@ func TestObserverEquivalence(t *testing.T) {
 	if len(golden) != len(grid) {
 		t.Fatalf("golden file has %d entries, grid has %d (regenerate with -update-observer)", len(golden), len(grid))
 	}
-	for _, tc := range grid {
-		tc := tc
-		t.Run("pump/"+tc.name, func(t *testing.T) {
-			want, ok := golden[tc.name]
-			if !ok {
-				t.Fatalf("no golden digest for %q (regenerate with -update-observer)", tc.name)
-			}
-			got, err := observerDigest(tc)
-			if err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-			if got != want {
-				t.Fatalf("event stream diverged:\n got %s\nwant %s", got, want)
-			}
-			again, _ := observerDigest(tc)
-			if again != got {
-				t.Fatalf("event stream is nondeterministic: %s then %s", got, again)
-			}
-		})
+	for _, v := range []struct {
+		name  string
+		procs int
+	}{{"barrier", 2}, {"pump", 1}} {
+		for _, tc := range grid {
+			t.Run(v.name+"/"+tc.name, func(t *testing.T) {
+				prev := runtime.GOMAXPROCS(v.procs)
+				defer runtime.GOMAXPROCS(prev)
+				want, ok := golden[tc.name]
+				if !ok {
+					t.Fatalf("no golden digest for %q (regenerate with -update-observer)", tc.name)
+				}
+				got, err := observerDigest(tc)
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				if got != want {
+					t.Fatalf("event stream diverged:\n got %s\nwant %s", got, want)
+				}
+				again, _ := observerDigest(tc)
+				if again != got {
+					t.Fatalf("event stream is nondeterministic: %s then %s", got, again)
+				}
+			})
+		}
 	}
 }
 
